@@ -16,9 +16,9 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from repro.geometry.cache import ContentCache, cached_distance_matrix, points_fingerprint
+from repro.geometry.cache import ContentCache, points_fingerprint
 from repro.geometry.hull import convex_hull_indices
-from repro.geometry.point import Point, as_array, as_point, distance
+from repro.geometry.point import Point, as_array, as_point, distance, distance_matrix
 from repro.graphs.tour import Tour
 
 __all__ = [
@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 NodeId = Hashable
-
-
-def _prepare(coordinates: Mapping[NodeId, Point]) -> tuple[list[NodeId], np.ndarray]:
-    nodes = list(coordinates)
-    pts = [as_point(coordinates[n]) for n in nodes]
-    return nodes, cached_distance_matrix(pts)
 
 
 def _vector_kernels():
@@ -70,7 +64,7 @@ def convex_hull_insertion_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     if len(nodes) <= 3:
         return Tour(nodes, dict(zip(nodes, pts))).counterclockwise()
 
-    dmat = cached_distance_matrix(pts)
+    dmat = distance_matrix(pts)
     hull = convex_hull_indices(pts)
     kernels = _vector_kernels()
     if kernels is not None:
@@ -144,10 +138,10 @@ def christofides_tour(coordinates: Mapping[NodeId, Point]) -> Tour:
     pts = {n: as_point(coordinates[n]) for n in nodes}
     if len(nodes) <= 3:
         return Tour(nodes, pts).counterclockwise()
-    # Complete graph in one pass from the cached distance matrix instead of
+    # Complete graph in one pass from the distance matrix instead of
     # an O(n^2) per-pair distance()+add_edge loop.  Zero-weight edges between
     # coincident points are added too: christofides needs a complete graph.
-    dmat = cached_distance_matrix([pts[n] for n in nodes])
+    dmat = distance_matrix([pts[n] for n in nodes])
     iu, ju = np.triu_indices(len(nodes), k=1)
     g = nx.Graph()
     g.add_nodes_from(nodes)

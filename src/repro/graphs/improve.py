@@ -12,7 +12,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.geometry.cache import cached_distance_matrix
+from repro.geometry.point import distance_matrix
 from repro.graphs.tour import Tour
 
 __all__ = ["two_opt", "or_opt", "improve_tour"]
@@ -22,7 +22,7 @@ NodeId = Hashable
 
 def _tour_matrix(tour: Tour) -> tuple[list[NodeId], np.ndarray]:
     nodes = list(tour.order)
-    dmat = cached_distance_matrix([tour.point(n) for n in nodes])
+    dmat = distance_matrix([tour.point(n) for n in nodes])
     return nodes, dmat
 
 

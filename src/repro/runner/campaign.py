@@ -34,6 +34,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.baselines.base import get_strategy, strategy_params
+from repro.core.plan import AlternatingLoopRoute, LoopRoute, PatrolPlan
 from repro.geometry.cache import ContentCache, cache_enabled, configure as _configure_caches
 from repro.network.scenario import Scenario
 from repro.obs import registry as _obs
@@ -95,6 +96,95 @@ def build_cell_scenario(spec: RunSpec) -> Scenario:
 
 
 # --------------------------------------------------------------------------- #
+# Phase 1: scenario + plan, made once per cell
+# --------------------------------------------------------------------------- #
+
+# Plans shared by the cells of a batched serial campaign, keyed by (strategy,
+# params incl. any injected seed, scenario content key): planning is
+# deterministic in that triple.  Only loop-route plans are stored — nothing
+# advances them — never a StochasticRoute, whose live generator a second
+# cell would find already advanced.
+_PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
+_SHAREABLE_ROUTES = (LoopRoute, AlternatingLoopRoute)
+
+
+@dataclass
+class PreparedCell:
+    """One cell after phase 1: its fresh scenario and its patrol plan.
+
+    ``plan_key`` names the plan's content (the batch row cache keys on it);
+    ``plan_s`` is the planning wall-clock time, 0.0 for a shared plan.
+    """
+
+    spec: RunSpec
+    scenario: Scenario
+    plan: PatrolPlan
+    plan_key: tuple
+    plan_s: float
+
+
+def prepare_cell(spec: RunSpec, *, share_plan: bool = False) -> PreparedCell:
+    """Build the cell's scenario and plan it: the one phase-1 code path.
+
+    Strategies that declare a ``seed`` parameter receive ``spec.seed``
+    unless the spec sets one.  ``share_plan`` (the serial batched campaign
+    path only) serves and stores shareable plans through the plan cache.
+    """
+    with _obs.span("scenario-build", cat="campaign"):
+        scenario = build_cell_scenario(spec)
+    params = dict(spec.params)
+    if "seed" in strategy_params(spec.strategy) and "seed" not in params:
+        params["seed"] = spec.seed
+    plan_key = (
+        spec.strategy,
+        json.dumps(sorted(params.items()), default=repr),
+        _scenario_cache_key(spec),
+    )
+    plan = _PLAN_CACHE.get(plan_key) if share_plan else None
+    plan_s = 0.0
+    if plan is None:
+        planner = get_strategy(spec.strategy, **params)
+        plan_start = time.perf_counter()
+        with _obs.span("plan", cat="campaign", strategy=spec.strategy):
+            plan = planner.plan(scenario)
+        plan_s = time.perf_counter() - plan_start
+        if share_plan and all(
+            type(route) in _SHAREABLE_ROUTES for route in plan.routes.values()
+        ):
+            _PLAN_CACHE.put(plan_key, plan)
+    return PreparedCell(spec, scenario, plan, plan_key, plan_s)
+
+
+def cell_record(cell: PreparedCell, result, *, delivered_data, total_distance,
+                num_dead_mules) -> dict:
+    """The cell's tidy record: the one place the record format is written.
+
+    The metric extractors read ``result`` (a full
+    :class:`~repro.sim.recorder.SimulationResult`, or the batch's stub);
+    the batch computes the three totals without a visit log.
+    """
+    spec = cell.spec
+    record: dict[str, Any] = {
+        "strategy": spec.strategy,
+        "seed": spec.seed,
+        "num_targets": cell.scenario.num_targets,
+        "num_mules": cell.scenario.num_mules,
+        "horizon": spec.sim.horizon,
+    }
+    record.update(spec.labels)
+    record["planner"] = cell.plan.strategy
+    record["average_dcdt"] = average_dcdt(result)
+    record["average_sd"] = average_sd(result)
+    record["max_visiting_interval"] = max_visiting_interval(result)
+    record["delivered_data"] = delivered_data
+    record["total_distance"] = total_distance
+    record["num_dead_mules"] = num_dead_mules
+    for entry in spec.metrics:
+        record[metric_name(entry)] = compute_metric(entry, cell.scenario, cell.plan, result)
+    return record
+
+
+# --------------------------------------------------------------------------- #
 # Planning vs simulation wall-clock split
 # --------------------------------------------------------------------------- #
 
@@ -112,12 +202,12 @@ _TIMING_CELLS: list[tuple[float, float]] = []
 def _collect_timings():
     """Scope the per-cell wall-clock collector; yields the collected pairs.
 
-    Cells dispatched through :func:`execute_run` in this process are timed
-    directly; pool-worker cells are timed in the worker and merged here by
-    the parent's result loop (see :func:`_execute_run_traced`).  Batched
-    tensor cells (one stacked pass, no per-cell planning) and store hits
-    (no execution at all) contribute nothing — ``cells_timed`` in the
-    resulting metadata says how much of the campaign the split covers.
+    Cells simulated one by one in this process are timed directly;
+    pool-worker cells are timed in the worker and merged here by the
+    parent's result loop (see :func:`_execute_run_traced`).  Batched tensor
+    cells (one stacked pass) and store hits (no execution at all) contribute
+    nothing — ``cells_timed`` in the resulting metadata says how much of the
+    campaign the split covers.
     """
     global _TIMING_ACTIVE
     collected: list[tuple[float, float]] = []
@@ -178,56 +268,44 @@ def execute_run(spec: RunSpec) -> dict:
     or off.
     """
     record, pair = _execute_run_timed(spec)
-    if _TIMING_ACTIVE:
-        with _TIMING_LOCK:
-            _TIMING_CELLS.append(pair)
+    _note_timing(pair)
     return record
 
 
-def _execute_run_timed(spec: RunSpec) -> "tuple[dict, tuple[float, float]]":
+def _note_timing(pair: "tuple[float, float]") -> None:
+    """Feed one cell's wall-clock pair to an active campaign's collector."""
+    if _TIMING_ACTIVE:
+        with _TIMING_LOCK:
+            _TIMING_CELLS.append(pair)
+
+
+def _execute_run_timed(
+    spec: RunSpec, cell: "PreparedCell | None" = None
+) -> "tuple[dict, tuple[float, float]]":
     """One cell end to end; returns ``(record, (planning_s, simulation_s))``.
 
     The timed core of :func:`execute_run`: callers decide what to do with
     the wall-clock pair (the in-process wrapper feeds the campaign timing
     accumulator; pool workers return it alongside the record so the parent
-    can merge it — see :func:`_execute_run_traced`).  With the obs registry
-    enabled, the cell and its scenario-build / plan / simulate stages are
-    wrapped in spans; neither timing nor spans ever touch the record.
+    can merge it — see :func:`_execute_run_traced`).  A ``cell`` the serial
+    campaign path already prepared is simulated as it is.  With the obs
+    registry enabled, the cell and its scenario-build / plan / simulate
+    stages are wrapped in spans; neither timing nor spans touch the record.
     """
     with _obs.span("cell", cat="campaign", strategy=spec.strategy, seed=spec.seed):
-        with _obs.span("scenario-build", cat="campaign"):
-            scenario = build_cell_scenario(spec)
-        params = dict(spec.params)
-        if "seed" in strategy_params(spec.strategy) and "seed" not in params:
-            params["seed"] = spec.seed
-        planner = get_strategy(spec.strategy, **params)
-        plan_start = time.perf_counter()
-        with _obs.span("plan", cat="campaign", strategy=spec.strategy):
-            plan = planner.plan(scenario)
-        plan_elapsed = time.perf_counter() - plan_start
+        if cell is None:
+            cell = prepare_cell(spec)
         sim_start = time.perf_counter()
         with _obs.span("simulate", cat="campaign"):
-            result = PatrolSimulator(scenario, plan, spec.sim).run()
+            result = PatrolSimulator(cell.scenario, cell.plan, spec.sim).run()
         sim_elapsed = time.perf_counter() - sim_start
-
-        record: dict[str, Any] = {
-            "strategy": spec.strategy,
-            "seed": spec.seed,
-            "num_targets": scenario.num_targets,
-            "num_mules": scenario.num_mules,
-            "horizon": spec.sim.horizon,
-        }
-        record.update(spec.labels)
-        record["planner"] = plan.strategy
-        record["average_dcdt"] = average_dcdt(result)
-        record["average_sd"] = average_sd(result)
-        record["max_visiting_interval"] = max_visiting_interval(result)
-        record["delivered_data"] = result.total_delivered_data()
-        record["total_distance"] = result.total_distance()
-        record["num_dead_mules"] = len(result.dead_mules())
-        for entry in spec.metrics:
-            record[metric_name(entry)] = compute_metric(entry, scenario, plan, result)
-    return record, (plan_elapsed, sim_elapsed)
+        record = cell_record(
+            cell, result,
+            delivered_data=result.total_delivered_data(),
+            total_distance=result.total_distance(),
+            num_dead_mules=len(result.dead_mules()),
+        )
+    return record, (cell.plan_s, sim_elapsed)
 
 
 def _execute_run_traced(spec: RunSpec) -> "tuple[dict, tuple[float, float], dict | None]":
@@ -310,11 +388,12 @@ def execute_many(
     spawn-only platforms (Windows), custom registrations must happen at
     import time of a module the workers also import.
 
-    The serial path first hands the whole spec list to the batched fast path
+    The serial path prepares every cell once (:func:`prepare_cell`: scenario
+    and plan) and hands the prepared list to the batched fast path
     (:mod:`repro.sim.batchpath`), which evaluates every batch-eligible cell
-    in one stacked tensor pass and leaves the rest to the ordinary per-cell
-    :func:`execute_run`; records are byte-identical either way, and the
-    callbacks still fire per cell in spec order.
+    in one stacked tensor pass; each cell it declines is then simulated from
+    its prepared scenario and plan.  Records are byte-identical either way,
+    and the callbacks still fire per cell in spec order.
     """
     specs = list(specs)
     if cancel is not None and cancel():
@@ -354,9 +433,7 @@ def execute_many(
                 for item in pool.map(mapper, specs, chunksize=chunksize):
                     if traced:
                         record, pair, payload = item
-                        if _TIMING_ACTIVE:
-                            with _TIMING_LOCK:
-                                _TIMING_CELLS.append(pair)
+                        _note_timing(pair)
                         if payload is not None:
                             _obs.absorb(payload)
                     else:
@@ -370,15 +447,25 @@ def execute_many(
                         pool.shutdown(wait=False, cancel_futures=True)
                         break
                 return records
-    # Imported lazily: batchpath pulls in campaign helpers, and eager
-    # circular imports would tie module load order in knots.
-    from repro.sim.batchpath import batch_execute_records
+    # Imported lazily: batchpath imports this module.
+    from repro.sim import batchpath
 
-    pre = batch_execute_records(specs)
+    # With the batch on, every cell is prepared up front, the batch finishes
+    # the cells it can stack, and each one it declines is simulated from the
+    # same prepared state.  With it off, each cell is prepared as it runs.
+    cells: "list[PreparedCell | None]" = [None] * len(specs)
+    finished: "list[dict | None]" = [None] * len(specs)
+    if batchpath.batchpath_enabled():
+        cells = [prepare_cell(spec, share_plan=True) for spec in specs]
+        finished = batchpath.batch_execute_records(cells)
     records = []
     for index, spec in enumerate(specs):
-        record = pre[index]
-        records.append(record if record is not None else execute_run(spec))
+        record = finished[index]
+        if record is None:
+            record, pair = _execute_run_timed(spec, cells[index])
+            _note_timing(pair)
+        cells[index] = None  # the scenario is spent; let it go
+        records.append(record)
         if on_record is not None:
             on_record(len(records) - 1, records[-1])
         if progress is not None:

@@ -55,7 +55,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -67,6 +69,18 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 class _BadRequest(ValueError):
     """Protocol-level parse failure: malformed request line, header or body."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status  # the code the client receives
+
+
+async def _read_line(reader: asyncio.StreamReader, *, what: str, status: int) -> bytes:
+    """One line, bounded by the stream's 64 KiB buffer limit."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the line outgrew the buffer limit
+        raise _BadRequest(f"{what} exceeds the 64 KiB line limit", status) from exc
 
 
 def _dumps(payload: Any) -> str:
@@ -189,7 +203,7 @@ class HttpTransport:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> "tuple[str, str, dict[str, str], bytes] | None":
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, what="request line", status=414)
         if not request_line.strip():
             return None  # client connected and went away
         try:
@@ -198,7 +212,7 @@ class HttpTransport:
             raise _BadRequest(f"malformed request line {request_line!r}") from exc
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, what="header line", status=431)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = line.decode("latin-1").partition(":")
@@ -209,6 +223,8 @@ class HttpTransport:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError as exc:
             raise _BadRequest("Content-Length is not an integer") from exc
+        if length < 0:
+            raise _BadRequest(f"Content-Length {length} is negative")
         if length > MAX_BODY_BYTES:
             raise _BadRequest(f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit")
         body = await reader.readexactly(length) if length else b""
@@ -224,7 +240,8 @@ class HttpTransport:
                     return
                 method, path, _headers, body = request
             except (_BadRequest, asyncio.IncompleteReadError) as exc:
-                writer.write(_plain_response(400, {"error": str(exc)}))
+                status = exc.status if isinstance(exc, _BadRequest) else 400
+                writer.write(_plain_response(status, {"error": str(exc)}))
                 await writer.drain()
                 return
             try:

@@ -28,9 +28,14 @@ would have performed, so records are **byte-identical** to per-cell dispatch
 (asserted by ``benchmarks/bench_pr8.py`` and the differential fuzz harness
 before any speed claim).
 
-A cell rides the batch only when every check passes; anything else silently
-degrades to the per-cell scalar fast path (or the event loop), never to a
-wrong answer:
+The batch receives cells already prepared by
+:func:`repro.runner.campaign.prepare_cell` — scenario built and plan made,
+once per cell — and writes records through the campaign's one record
+reducer, :func:`repro.runner.campaign.cell_record`.  A cell rides the batch
+only when every check passes; anything else is handed back, and the caller
+simulates it from the same prepared scenario and plan on the per-cell scalar
+fast path (or the event loop) — never a wrong answer, never a second
+planning pass:
 
 * the cell's :func:`~repro.sim.fastpath.fast_path_rejection` is ``None``;
 * no energy-tracked batteries (death truncates streams mid-pattern);
@@ -49,7 +54,6 @@ byte-invisible: they only choose the dispatch path.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from contextlib import contextmanager
@@ -59,13 +63,17 @@ import numpy as np
 from repro.geometry.cache import ContentCache
 from repro.geometry.point import distance
 from repro.obs import registry as _obs
+from repro.runner.campaign import PreparedCell, cell_record, prepare_cell
 from repro.sim.fastpath import (
     _Fallback,
     dedup_walk,
     fast_path_rejection,
     route_pattern,
 )
-from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval
+# The metric functions stay importable from here for callers that look them
+# up on this module; the batch's records are reduced by
+# repro.runner.campaign.cell_record, which calls them.
+from repro.sim.metrics import average_dcdt, average_sd, max_visiting_interval  # noqa: F401
 from repro.sim.recorder import SimulationResult
 
 __all__ = [
@@ -85,15 +93,6 @@ _MAX_BATCH_EVENTS = 250_000
 _MAX_BLOCK_FLOATS = 8_000_000
 
 _LOCK = threading.Lock()
-
-# Patrol plans memoized by (strategy, declared params incl. any injected
-# seed, scenario content key).  Planning is deterministic in that triple —
-# the determinism patrol enforces it — so every replication cell of a pinned
-# scenario reuses one plan instead of re-planning identical content.  The
-# batch only ever *reads* a plan (routes are generator factories; nothing is
-# advanced), so sharing one object across cells is safe, and the cache is
-# purely memoizing: byte-identical records with it on or off.
-_PLAN_CACHE = ContentCache("batch_plan", maxsize=128)
 
 # Prepared increment rows memoized by (plan key, horizon, synchronized
 # start): everything a row reads — routes, mule velocities and deployment
@@ -243,28 +242,8 @@ class _Row:
         self.init_prefix: "np.ndarray | None" = None
 
 
-class _Cell:
-    """One campaign cell prepared for batch evaluation."""
-
-    __slots__ = (
-        "spec", "scenario", "plan", "sink_id", "rows", "target_ids",
-        "rates_arr",
-    )
-
-    def __init__(
-        self, spec, scenario, plan, sink_id, rows, target_ids, rates_arr
-    ) -> None:
-        self.spec = spec
-        self.scenario = scenario
-        self.plan = plan
-        self.sink_id = sink_id
-        self.rows = rows
-        self.target_ids = target_ids
-        self.rates_arr = rates_arr
-
-
 def _reject(reason: str) -> None:
-    """Count one cell's fall to the scalar path; always returns ``None``.
+    """Count one cell's fall to the per-cell path; always returns ``None``.
 
     The reason taxonomy is the end-to-end dispatch story ("why is this
     sweep slow"): static spec vetoes (``batch-path-disabled`` /
@@ -277,13 +256,11 @@ def _reject(reason: str) -> None:
     return None
 
 
-def _prepare_cell(spec) -> "_Cell | None":
-    """Build scenario/plan for ``spec`` and vet it for the batch class."""
-    from repro.runner.campaign import _scenario_cache_key, build_cell_scenario
-
-    from repro.baselines.base import get_strategy, strategy_params
+def _batch_rows(prepared) -> "list[_Row] | None":
+    """The prepared cell's per-mule rows, or ``None`` when the batch declines it."""
     from repro.sim.engine import PatrolSimulator
 
+    spec = prepared.spec
     cfg = spec.sim
     if not cfg.batch_path:
         return _reject("batch-path-disabled")
@@ -291,22 +268,10 @@ def _prepare_cell(spec) -> "_Cell | None":
         return _reject("max-visits")
     if spec.metrics:
         return _reject("custom-metrics")
-    scenario = build_cell_scenario(spec)
+    scenario = prepared.scenario
     if cfg.track_energy and any(m.battery is not None for m in scenario.mules):
         return _reject("tracked-energy")
-    params = dict(spec.params)
-    if "seed" in strategy_params(spec.strategy) and "seed" not in params:
-        params["seed"] = spec.seed
-    plan_key = (
-        spec.strategy,
-        json.dumps(sorted(params.items()), default=repr),
-        _scenario_cache_key(spec),
-    )
-    plan = _PLAN_CACHE.get(plan_key)
-    if plan is None:
-        planner = get_strategy(spec.strategy, **params)
-        plan = planner.plan(scenario)
-        _PLAN_CACHE.put(plan_key, plan)
+    plan = prepared.plan
     sim = PatrolSimulator(scenario, plan, cfg)
     rejection = fast_path_rejection(sim)
     if rejection is not None:
@@ -320,7 +285,7 @@ def _prepare_cell(spec) -> "_Cell | None":
         node_code[sim._recharge_id] = 3
     node_tidx: dict[str, int] = {t.id: i for i, t in enumerate(targets)}
     node_tidx[sim._sink_id] = len(targets)
-    row_key = (plan_key, cfg.horizon, cfg.synchronized_start)
+    row_key = (prepared.plan_key, cfg.horizon, cfg.synchronized_start)
     rows = _ROW_CACHE.get(row_key)
     if rows is _ROW_FALLBACK:
         return _reject("row-fallback")
@@ -335,9 +300,7 @@ def _prepare_cell(spec) -> "_Cell | None":
             _ROW_CACHE.put(row_key, _ROW_FALLBACK)
             return _reject("row-fallback")
         _ROW_CACHE.put(row_key, rows)
-    target_ids = [t.id for t in targets]
-    rates_arr = np.array([t.data_rate for t in targets], dtype=float)
-    return _Cell(spec, scenario, plan, sim._sink_id, rows, target_ids, rates_arr)
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -410,11 +373,11 @@ def _ties_are_benign(times_all, codes_all, tidx_all, row_all) -> bool:
     return True
 
 
-def _finish_cell(cell: _Cell) -> "dict | None":
-    """Reduce one cumsum'd cell to its record; ``None`` → scalar fallback."""
-    spec = cell.spec
-    cfg = spec.sim
-    horizon = cfg.horizon
+def _finish_cell(prepared, rows: "list[_Row]") -> "dict | None":
+    """Reduce one cumsum'd cell to its record; ``None`` → per-cell fallback."""
+    horizon = prepared.spec.sim.horizon
+    targets = prepared.scenario.targets
+    target_ids = [t.id for t in targets]
 
     per_mule_distance: list[float] = []
     kept_times: list[np.ndarray] = []
@@ -423,7 +386,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     kept_rows: list[int] = []
     sink_times_by_row: "dict[int, np.ndarray]" = {}
 
-    for row_index, row in enumerate(cell.rows):
+    for row_index, row in enumerate(rows):
         full = row.full
         arrivals = full[1::2]
         if row.cyclic and arrivals[-1] <= horizon:
@@ -493,7 +456,7 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     cx = tidx_all[collect_indices]
     node_times: dict[str, np.ndarray] = {}
     collect_sizes = np.empty(ct.size, dtype=float)
-    num_targets = len(cell.target_ids)
+    num_targets = len(target_ids)
     if ct.size:
         order = np.lexsort((ct, cx))
         ct_s = ct[order]
@@ -507,16 +470,17 @@ def _finish_cell(cell: _Cell) -> "dict | None":
         prev[1:] = ct_s[:-1]
         starts = np.nonzero(np.diff(cx_s) != 0)[0] + 1
         prev[starts] = 0.0
-        sizes_s = (ct_s - prev) * cell.rates_arr[cx_s]
+        rates = np.array([t.data_rate for t in targets], dtype=float)
+        sizes_s = (ct_s - prev) * rates[cx_s]
         collect_sizes[order] = sizes_s
         bounds = np.searchsorted(cx_s, np.arange(num_targets + 1))
         for ti in range(num_targets):
             lo, hi = bounds[ti], bounds[ti + 1]
             if hi > lo:
-                node_times[cell.target_ids[ti]] = ct_s[lo:hi]
+                node_times[target_ids[ti]] = ct_s[lo:hi]
     sink_visit_times = times_all[codes_all == 2]
     if sink_visit_times.size:
-        node_times[cell.sink_id] = np.sort(sink_visit_times)
+        node_times[prepared.scenario.sink.id] = np.sort(sink_visit_times)
 
     # Sink deliveries: each collected packet flushes at its mule's first
     # strictly-later sink visit; the engine's delivery list is ordered by
@@ -550,26 +514,16 @@ def _finish_cell(cell: _Cell) -> "dict | None":
     # The metric extractors run unchanged on a stub result pre-seeded with
     # the per-node arrays — identical inputs, identical code, identical
     # floats (and the same int/float JSON spelling).
-    stub = SimulationResult(strategy=cell.plan.strategy, horizon=horizon)
+    stub = SimulationResult(strategy=prepared.plan.strategy, horizon=horizon)
     stub.__dict__["_visit_times_cache"] = (
         0, {n: node_times[n] for n in sorted(node_times)}
     )
-
-    record: dict = {
-        "strategy": spec.strategy,
-        "seed": spec.seed,
-        "num_targets": cell.scenario.num_targets,
-        "num_mules": cell.scenario.num_mules,
-        "horizon": cfg.horizon,
-    }
-    record.update(spec.labels)
-    record["planner"] = cell.plan.strategy
-    record["average_dcdt"] = average_dcdt(stub)
-    record["average_sd"] = average_sd(stub)
-    record["max_visiting_interval"] = max_visiting_interval(stub)
-    record["delivered_data"] = delivered_data
-    record["total_distance"] = sum(per_mule_distance)
-    record["num_dead_mules"] = 0
+    record = cell_record(
+        prepared, stub,
+        delivered_data=delivered_data,
+        total_distance=sum(per_mule_distance),
+        num_dead_mules=0,
+    )
     _obs.inc("batch_dispatch", outcome="batch")
     return record
 
@@ -578,38 +532,33 @@ def _finish_cell(cell: _Cell) -> "dict | None":
 # Entry point
 # --------------------------------------------------------------------------- #
 
-def batch_execute_records(specs) -> "list[dict | None]":
-    """Evaluate the batch-eligible cells of ``specs`` in one tensor pass.
+def batch_execute_records(cells) -> "list[dict | None]":
+    """Evaluate the batch-eligible cells of ``cells`` in one tensor pass.
 
-    Returns one entry per spec, in order: the finished record for every cell
-    the batch handled, ``None`` for every cell that must run per-cell (the
-    caller dispatches those through the ordinary
-    :func:`~repro.runner.campaign.execute_run`).  Records are byte-identical
-    to per-cell execution; with the switch off (or fewer than two specs,
-    where stacking cannot win) everything is ``None``.
+    ``cells`` are prepared cells (:func:`~repro.runner.campaign.prepare_cell`);
+    a bare :class:`~repro.runner.spec.RunSpec` is prepared here, sharing
+    plans the way the serial campaign path does.  Returns one entry per
+    cell, in order: the finished record for every cell the batch handled,
+    ``None`` for every cell it declines — the caller simulates those from
+    the same prepared scenario and plan.  Records are byte-identical to
+    per-cell execution; with the switch off (or fewer than two cells, where
+    stacking cannot win) everything is ``None``.
     """
-    specs = list(specs)
-    out: "list[dict | None]" = [None] * len(specs)
-    if not _ENABLED or len(specs) < 2:
+    cells = list(cells)
+    out: "list[dict | None]" = [None] * len(cells)
+    if not _ENABLED or len(cells) < 2:
         return out
-    cells: "list[_Cell | None]" = [_prepare_cell(spec) for spec in specs]
+    cells = [cell if isinstance(cell, PreparedCell) else prepare_cell(cell, share_plan=True)
+             for cell in cells]
+    row_sets = [_batch_rows(cell) for cell in cells]
     # Cells sharing cached row sets alias the same _Row objects; stack each
     # distinct row once (and skip rows a previous batch already cumsum'd —
     # the output depends only on the row, so recomputing it is a no-op).
-    rows = []
-    seen: set[int] = set()
-    for cell in cells:
-        if cell is None:
-            continue
-        for row in cell.rows:
-            if row.full is None and id(row) not in seen:
-                seen.add(id(row))
-                rows.append(row)
-    if rows:
-        _stacked_cumsum(rows)
-    if not any(cell is not None for cell in cells):
-        return out
-    for index, cell in enumerate(cells):
-        if cell is not None:
-            out[index] = _finish_cell(cell)
+    pending = {id(row): row for rows in row_sets if rows is not None
+               for row in rows if row.full is None}
+    if pending:
+        _stacked_cumsum(list(pending.values()))
+    for index, rows in enumerate(row_sets):
+        if rows is not None:
+            out[index] = _finish_cell(cells[index], rows)
     return out

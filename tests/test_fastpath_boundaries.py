@@ -30,7 +30,8 @@ from repro.network.field import Field
 from repro.network.mules import DataMule
 from repro.network.scenario import Scenario, SimulationParameters
 from repro.network.targets import RechargeStation, Sink, Target
-from repro.runner.campaign import _json_sanitize, execute_run
+from repro.geometry.cache import clear_caches
+from repro.runner.campaign import _json_sanitize, execute_many, execute_run
 from repro.runner.spec import RunSpec
 from repro.scenarios import ScenarioSpec
 from repro.sim import batchpath
@@ -226,6 +227,39 @@ class TestBatchFallbacks:
         with batchpath.batchpath_disabled():
             assert batchpath.batch_execute_records([spec, spec]) == [None, None]
         assert batchpath.batchpath_enabled()
+
+
+class TestSharedPlans:
+    """The serial campaign path shares plans between cells only when safe."""
+
+    def test_stochastic_plans_are_never_shared(self):
+        # Two identical `random` cells have one plan key.  A StochasticRoute
+        # draws from a live generator, so handing the first cell's plan to
+        # the second would start it from an advanced stream.
+        scenario = ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2}, seed=5)
+        plain = SimulationConfig(horizon=5_000.0, track_energy=False)
+        random_cell = RunSpec(strategy="random", scenario=scenario, sim=plain, seed=3)
+        specs = [
+            random_cell,
+            random_cell,
+            RunSpec(strategy="b-tctp", scenario=scenario, sim=plain, seed=3),
+            RunSpec(
+                strategy="b-tctp",
+                scenario=ScenarioSpec(
+                    "uniform",
+                    {"num_targets": 8, "num_mules": 2, "mule_battery": 500_000.0,
+                     "with_recharge_station": True},
+                    seed=5,
+                ),
+                sim=SimulationConfig(horizon=5_000.0, track_energy=True),
+                seed=3,
+            ),
+        ]
+        clear_caches()
+        campaign = [canonical(r) for r in execute_many(specs)]
+        per_cell = [canonical(execute_run(spec)) for spec in specs]
+        assert campaign == per_cell
+        assert campaign[0] == campaign[1]
 
 
 class TestPerEntityConfigAudit:

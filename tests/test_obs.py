@@ -294,7 +294,7 @@ class TestStatsDocument:
     def test_document_carries_obs_and_cache_sections(self):
         document = stats_document()
         assert set(document) == {"obs", "caches"}
-        assert "distance_matrix" in document["caches"]
+        assert "hamiltonian_tour" in document["caches"]
         assert cache_stats_view(document) is document["caches"]
 
     def test_store_view_matches_store_stats_exactly(self, tmp_path):

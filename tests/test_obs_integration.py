@@ -153,6 +153,65 @@ class TestWorkerTimingMerge:
         assert timing["simulation_s"] > 0
 
 
+class _ExplicitCampaign(Campaign):
+    """A campaign over a hand-picked cell list (no grid can mix these)."""
+
+    def __init__(self, cells):
+        super().__init__(cells[0])
+        self._explicit = list(cells)
+
+    def cells(self):
+        return self._explicit
+
+
+class TestEachCellPreparedOnce:
+    """The serial path builds and plans every cell once, batched or declined."""
+
+    def _cell(self, strategy, *, seed, horizon=5_000.0, scenario=None):
+        return RunSpec(
+            strategy=strategy,
+            scenario=scenario or ScenarioSpec("uniform", {"num_targets": 8, "num_mules": 2}),
+            sim=SimulationConfig(horizon=horizon, track_energy=False),
+            seed=seed,
+        )
+
+    def test_one_scenario_lookup_and_one_plan_per_cell(self, monkeypatch):
+        from repro.geometry.cache import clear_caches
+        from repro.sim import batchpath
+
+        # Rows longer than this fall to the per-cell path: the 50 000 s cell
+        # (352 legs per mule) declines as row-fallback, the 5 000 s cells
+        # (46 legs) stay in the batch.
+        monkeypatch.setattr(batchpath, "_MAX_BATCH_EVENTS", 200)
+        cells = [
+            self._cell("b-tctp", seed=1),
+            self._cell("sweep", seed=2),
+            self._cell("random", seed=3),  # fastpath-route-class
+            self._cell("chb", seed=1, horizon=15_000.0, scenario=ScenarioSpec(
+                "uniform", {"num_targets": 12, "num_mules": 3}, seed=42)),  # order-dependent
+            self._cell("b-tctp", seed=4, horizon=50_000.0),  # row-fallback
+        ]
+        clear_caches()
+        obs.configure(enabled=True)
+        result = _ExplicitCampaign(cells).run(store=False)
+        snapshot = result.metadata["obs"]
+
+        batched = counter_value(snapshot, "batch_dispatch", outcome="batch")
+        assert batched == 2
+        for reason in ("fastpath-route-class", "order-dependent", "row-fallback"):
+            assert counter_value(snapshot, "batch_dispatch", outcome="scalar",
+                                 reason=reason) == 1, reason
+        names = [span["name"] for span in obs.spans()]
+        assert names.count("plan") == len(cells)
+        assert names.count("scenario-build") == len(cells)
+        assert counter_value(snapshot, "cache_requests",
+                             cache="scenario_prototype") == len(cells)
+        assert result.metadata["timing"]["cells_timed"] == len(cells) - batched
+        with batchpath.batchpath_disabled():
+            per_cell = _ExplicitCampaign(cells).run(store=False)
+        assert canonical(result.records) == canonical(per_cell.records)
+
+
 class TestServiceCounters:
     def test_coalesced_counter_matches_subscriber_count(self):
         release = threading.Event()

@@ -8,6 +8,7 @@ the wire, and overload mapped to ``429`` + ``Retry-After``.
 """
 
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -144,6 +145,44 @@ class TestPlumbing:
             "/runs", {"strategy": "b-tctpp"})
         assert status == 400
         assert "b-tctp" in payload["error"]
+
+
+def raw_exchange(port, payload: bytes) -> bytes:
+    """Send raw bytes, half-close, and read the reply until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedRequests:
+    """Requests the parser cannot accept get a status, never an empty reply."""
+
+    def _assert_status_then_healthy(self, daemon, payload, status):
+        reply = raw_exchange(daemon.transport.port, payload)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:80]
+        assert "error" in json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert daemon.get_json("/healthz")[0] == 200
+
+    def test_negative_content_length_is_400(self, daemon):
+        self._assert_status_then_healthy(
+            daemon,
+            b"POST /runs HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+            400,
+        )
+
+    def test_overlong_header_line_is_431(self, daemon):
+        padding = b"X-Padding: " + b"a" * (70 * 1024) + b"\r\n"
+        self._assert_status_then_healthy(
+            daemon, b"GET /healthz HTTP/1.1\r\n" + padding + b"\r\n", 431)
+
+    def test_overlong_request_line_is_414(self, daemon):
+        target = b"/" + b"a" * (70 * 1024)
+        self._assert_status_then_healthy(
+            daemon, b"GET " + target + b" HTTP/1.1\r\n\r\n", 414)
 
 
 class TestStreaming:
